@@ -55,7 +55,7 @@ serve-smoke:
 # JSON so runs are diffable (see BENCH_kernels.json for the committed
 # reference numbers).
 bench:
-	$(GO) test -run '^$$' -bench 'MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish' \
+	$(GO) test -run '^$$' -bench 'MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish|FrontendBuild' \
 		-benchmem ./internal/vecmath/ ./internal/dprcore/ ./internal/simnet/ ./internal/webgraph/ ./internal/serve/ . | $(GO) run ./cmd/benchjson > BENCH_kernels.json
 	@cat BENCH_kernels.json
 

@@ -34,7 +34,7 @@ import (
 
 // benchPattern and benchPackages mirror the `make bench` invocation
 // that produces the baseline; the gate must measure what was recorded.
-const benchPattern = "MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish"
+const benchPattern = "MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish|FrontendBuild"
 
 var benchPackages = []string{"./internal/vecmath/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/serve/", "."}
 

@@ -20,6 +20,10 @@
 // telemetry over HTTP:
 // Prometheus text on /metrics, the JSONL event trace on /trace, and
 // pprof under /debug/pprof/. SIGQUIT dumps the trace ring to stderr.
+//
+// Demo mode with -serve adds the query tier (HTTP /search over the
+// published ranks). A serving demo does not end at -target: it reports
+// convergence, then keeps ranking and serving until SIGINT or SIGTERM.
 package main
 
 import (
@@ -58,7 +62,7 @@ func main() {
 		index     = flag.Int("index", 0, "this ranker's index (0..k-1)")
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
 		peersFlag = flag.String("peers", "", "peer addresses as idx=host:port, comma separated")
-		target    = flag.Float64("target", 1e-6, "demo: stop at this relative error")
+		target    = flag.Float64("target", 1e-6, "demo: stop at this relative error (with -serve: report it and keep serving)")
 		obsAddr   = flag.String("obs", "", "serve telemetry over HTTP on this addr:port (empty = off)")
 
 		algName   = cliflags.Algorithm(flag.CommandLine)
@@ -190,13 +194,24 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 		fatal(err)
 	}
 	defer cl.Close()
+	// -serve: the query tier outlives convergence — the cluster keeps
+	// ranking and the tier keeps serving until SIGINT or SIGTERM, which
+	// stop both cleanly. Without -serve the demo ends at -target. A nil
+	// sig never fires.
+	var sig chan os.Signal
 	var served *int64
 	if store != nil {
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 		stopServe, counter, err := startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, seed, epoch)
 		if err != nil {
 			fatal(err)
 		}
-		defer stopServe()
+		defer func() {
+			stopServe()
+			fmt.Printf("served %d load-gen queries, max served staleness %d rounds\n",
+				atomic.LoadInt64(served), store.MaxStaleness())
+		}()
 		served = counter
 	}
 	start := time.Now()
@@ -214,7 +229,12 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 		if time.Since(start) > 2*time.Minute {
 			fatal(fmt.Errorf("did not reach %v within 2 minutes", target))
 		}
-		time.Sleep(300 * time.Millisecond)
+		select {
+		case <-sig:
+			fmt.Println("interrupted before convergence; shutting down")
+			return
+		case <-time.After(300 * time.Millisecond):
+		}
 	}
 	ranks := cl.Assemble()
 	fmt.Printf("converged to relative error ≤ %v in %.2fs\n", target, time.Since(start).Seconds())
@@ -222,13 +242,10 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 	for _, p := range core.TopPages(ranks, 5) {
 		fmt.Printf("  %-40s rank %.4f\n", g.URL(int32(p)), ranks[p])
 	}
-	if store != nil {
-		n := int64(0)
-		if served != nil {
-			n = atomic.LoadInt64(served)
-		}
-		fmt.Printf("served %d load-gen queries, max served staleness %d rounds\n",
-			n, store.MaxStaleness())
+	if sig != nil {
+		fmt.Println("ranking and serving until interrupted")
+		<-sig
+		fmt.Println("shutting down")
 	}
 }
 

@@ -436,7 +436,15 @@ func (p *Peer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// Close sets closed before it sweeps the accepted set under
+		// connMu, so a conn that lost that race is closed here instead
+		// of getting a read loop nothing would close.
 		p.connMu.Lock()
+		if p.closed.Load() {
+			p.connMu.Unlock()
+			conn.Close()
+			return
+		}
 		p.accepted[conn] = struct{}{}
 		p.connMu.Unlock()
 		p.wg.Add(1)

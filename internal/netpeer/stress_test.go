@@ -1,6 +1,7 @@
 package netpeer
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -101,5 +102,79 @@ func TestStressCloseDuringDial(t *testing.T) {
 		}
 		time.Sleep(time.Duration(i*10) * time.Millisecond)
 		cl.Close()
+	}
+}
+
+// TestStressCloseDuringInboundDial races Close against inbound
+// connections. Dialers keep connecting, and hold every connection open
+// until Close has returned, the way a cluster's other peers do while
+// Cluster.Close shuts the peers down one after another. A connection
+// accepted just as Close swept the accepted set must still be closed
+// by the peer, or its read loop blocks Close forever.
+func TestStressCloseDuringInboundDial(t *testing.T) {
+	g := genGraph(t, 200, 23)
+	cl, err := StartCluster(g, ClusterConfig{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp := cl.Peers[0].cfg.Group
+	cl.Close()
+	for i := 0; i < 100; i++ {
+		p, err := Listen("127.0.0.1:0", Config{Group: grp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := p.Addr()
+		// Close starts once the dialers hold want connections, so the
+		// rounds race it against different points of the dial storm.
+		want := 1 + i%5
+		var mu sync.Mutex
+		var held []net.Conn
+		ready := make(chan struct{})
+		stop := make(chan struct{})
+		var dialers sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c, err := net.Dial("tcp", addr)
+					if err != nil {
+						continue // listener already closed
+					}
+					mu.Lock()
+					held = append(held, c)
+					if len(held) == want {
+						close(ready)
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		<-ready
+		closed := make(chan struct{})
+		go func() {
+			p.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Errorf("round %d: Close hung on an inbound connection", i)
+		}
+		close(stop)
+		dialers.Wait()
+		for _, c := range held {
+			c.Close()
+		}
+		<-closed
+		if t.Failed() {
+			return
+		}
 	}
 }

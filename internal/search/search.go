@@ -46,15 +46,6 @@ func DefaultConfig() Config {
 	return Config{Vocabulary: 5000, TermsPerPage: 12, Skew: 1.0}
 }
 
-// WithDefaults returns the config with zero fields filled in, or an
-// error for out-of-range values — the exported spelling of the
-// validation Build applies, for packages (internal/serve) that build
-// their own structures from the same text model.
-func (c Config) WithDefaults() (Config, error) {
-	err := c.validate()
-	return c, err
-}
-
 func (c *Config) validate() error {
 	if c.Vocabulary == 0 {
 		c.Vocabulary = 5000
@@ -104,26 +95,61 @@ func TermName(t int32) string {
 	return string(AppendTermName(buf[:0], t))
 }
 
-// TermsOf returns page p's distinct terms, ascending. The draw is a
-// pure function of the page's URL (stable across recrawls) and cfg.
-func TermsOf(g webgraph.Store, p int32, cfg Config) ([]int32, error) {
+// TextModel is the synthetic text model built from a validated
+// Config: one Zipf table over the vocabulary, shared by every page's
+// draw. Build it once per index; it is read-only and safe for
+// concurrent use.
+type TextModel struct {
+	cfg  Config
+	zipf *xrand.Zipf
+}
+
+// NewTextModel validates cfg (filling in zero fields) and builds the
+// model's term-popularity table, O(Vocabulary) once.
+func NewTextModel(cfg Config) (*TextModel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return &TextModel{cfg: cfg, zipf: xrand.NewZipf(nil, cfg.Vocabulary, cfg.Skew)}, nil
+}
+
+// Config returns the model's config with defaults filled in.
+func (m *TextModel) Config() Config { return m.cfg }
+
+// AppendTerms appends page p's TermsPerPage distinct terms, ascending,
+// to dst and returns the extended slice. The draw is a pure function of
+// the page's URL (stable across recrawls) and the config. Duplicates
+// are found by a linear scan and the terms put in order by insertion
+// sort, both over at most TermsPerPage entries.
+func (m *TextModel) AppendTerms(dst []int32, g webgraph.Store, p int32) []int32 {
 	id := nodeid.Hash(g.URL(p))
 	rng := xrand.New(id.Lo ^ id.Hi)
-	z := xrand.NewZipf(rng, cfg.Vocabulary, cfg.Skew)
-	seen := make(map[int32]bool, cfg.TermsPerPage)
-	out := make([]int32, 0, cfg.TermsPerPage)
-	for len(out) < cfg.TermsPerPage {
-		t := int32(z.Sample())
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+	start := len(dst)
+	for len(dst)-start < m.cfg.TermsPerPage {
+		t := int32(m.zipf.SampleWith(rng))
+		i := len(dst)
+		for i > start && dst[i-1] > t {
+			i--
 		}
+		if i > start && dst[i-1] == t {
+			continue
+		}
+		dst = append(dst, 0)
+		copy(dst[i+1:], dst[i:])
+		dst[i] = t
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return dst
+}
+
+// TermsOf returns page p's distinct terms, ascending. It builds a
+// TextModel per call; loops over many pages should build one model and
+// call AppendTerms.
+func TermsOf(g webgraph.Store, p int32, cfg Config) ([]int32, error) {
+	m, err := NewTextModel(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.AppendTerms(make([]int32, 0, m.cfg.TermsPerPage), g, p), nil
 }
 
 // Posting is one entry of a term's posting list: a page and its rank.
@@ -155,9 +181,11 @@ type Index struct {
 // page-indexed rank vector (distributed or centralized); assign is the
 // page partition; ov places terms on rankers.
 func Build(g webgraph.Store, ranks vecmath.Vec, ov overlay.Network, assign *partition.Assignment, cfg Config) (*Index, error) {
-	if err := cfg.validate(); err != nil {
+	model, err := NewTextModel(cfg)
+	if err != nil {
 		return nil, err
 	}
+	cfg = model.Config()
 	if len(ranks) != g.NumPages() {
 		return nil, fmt.Errorf("search: ranks have length %d, want %d", len(ranks), g.NumPages())
 	}
@@ -177,11 +205,9 @@ func Build(g webgraph.Store, ranks vecmath.Vec, ov overlay.Network, assign *part
 	for t := 0; t < cfg.Vocabulary; t++ {
 		ix.termOwner[t] = int32(ov.Owner(nodeid.Hash(TermName(int32(t)))))
 	}
+	terms := make([]int32, 0, cfg.TermsPerPage)
 	for p := 0; p < g.NumPages(); p++ {
-		terms, err := TermsOf(g, int32(p), cfg)
-		if err != nil {
-			return nil, err
-		}
+		terms = model.AppendTerms(terms[:0], g, int32(p))
 		for _, t := range terms {
 			ix.postings[t] = append(ix.postings[t], Posting{Page: int32(p), Score: ranks[p]})
 			ix.PostingsTotal++

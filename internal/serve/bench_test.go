@@ -86,6 +86,47 @@ func BenchmarkQueryTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontendBuild is the ratchet kernel for the term-index
+// build, at the size of the benchmark's live cluster: a 200k-page,
+// 100-site crawl on 4 shards with a 1000-term vocabulary and 4 terms
+// per page. The build draws every page's terms from one shared Zipf
+// table, so its allocations grow with the pages, never with pages ×
+// vocabulary.
+func BenchmarkFrontendBuild(b *testing.B) {
+	const shards = 4
+	cfg := webgraph.DefaultGenConfig(200_000)
+	cfg.Sites = 100
+	cfg.Seed = 1
+	g, err := webgraph.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]nodeid.ID, shards)
+	for i := range ids {
+		ids[i] = nodeid.Hash(fmt.Sprintf("ranker-%d", i))
+	}
+	ov, err := pastry.New(ids, pastry.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign, err := partition.Assign(g, ov, partition.BySite, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := serve.NewStore(shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	text := search.Config{Vocabulary: 1000, TermsPerPage: 4, Skew: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.NewFrontend(g, ov, assign, store, serve.Config{Text: text}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSnapshotPublish is the ratchet kernel for the write path:
 // decode a DPRS checkpoint and swap it into the store.
 func BenchmarkSnapshotPublish(b *testing.B) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -107,7 +106,7 @@ type Frontend struct {
 // partition, and the text model. The store provides scores at query
 // time; assign must cover the graph and match the store's shard count.
 func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignment, store *Store, cfg Config) (*Frontend, error) {
-	text, err := cfg.Text.WithDefaults()
+	model, err := search.NewTextModel(cfg.Text)
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +119,7 @@ func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignm
 	if assign.K != store.NumShards() {
 		return nil, fmt.Errorf("serve: assignment has %d shards, store %d", assign.K, store.NumShards())
 	}
+	text := model.Config()
 	f := &Frontend{
 		text:       text,
 		ov:         ov,
@@ -127,44 +127,7 @@ func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignm
 		shards:     make([]shardIndex, assign.K),
 		termShards: make([][]int32, text.Vocabulary),
 	}
-	for s := range f.shards {
-		f.shards[s].pages = assign.Pages[s]
-	}
-	// Gather (term, local) pairs per shard, then sort and CSR-pack.
-	type pair struct{ term, local int32 }
-	perShard := make([][]pair, assign.K)
-	for p := 0; p < g.NumPages(); p++ {
-		terms, err := search.TermsOf(g, int32(p), text)
-		if err != nil {
-			return nil, err
-		}
-		s := assign.GroupOf[p]
-		for _, t := range terms {
-			perShard[s] = append(perShard[s], pair{term: t, local: assign.LocalIdx[p]})
-		}
-	}
-	for s := range perShard {
-		ps := perShard[s]
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].term != ps[j].term {
-				return ps[i].term < ps[j].term
-			}
-			return ps[i].local < ps[j].local
-		})
-		sh := &f.shards[s]
-		sh.locals = make([]int32, len(ps))
-		for i, pr := range ps {
-			sh.locals[i] = pr.local
-			if i == 0 || pr.term != ps[i-1].term {
-				sh.terms = append(sh.terms, pr.term)
-				sh.off = append(sh.off, int32(i))
-			}
-		}
-		sh.off = append(sh.off, int32(len(ps)))
-		for _, t := range sh.terms {
-			f.termShards[t] = append(f.termShards[t], int32(s))
-		}
-	}
+	f.buildShards(g, model, assign)
 	if cfg.CacheEntries >= 0 {
 		n := cfg.CacheEntries
 		if n == 0 {
@@ -182,6 +145,69 @@ func NewFrontend(g webgraph.Store, ov overlay.Network, assign *partition.Assignm
 	}
 	f.overloadErr = &search.OverloadError{RetryAfter: f.adm.RetryAfterSeconds}
 	return f, nil
+}
+
+// buildShards draws every page's terms once and packs each shard's CSR
+// by counting sort on term, O(pages·TermsPerPage + Vocabulary). Pages
+// are bucketed by term in ascending page order; walking the terms in
+// ascending order then emits each shard's postings sorted by (term,
+// local), because partition.Assign numbers a shard's pages (LocalIdx)
+// in ascending page order. Every page has exactly TermsPerPage terms,
+// so each shard's postings are preallocated.
+func (f *Frontend) buildShards(g webgraph.Store, model *search.TextModel, assign *partition.Assignment) {
+	n, per, vocab := g.NumPages(), f.text.TermsPerPage, f.text.Vocabulary
+	pageTerms := make([]int32, 0, n*per)
+	for p := 0; p < n; p++ {
+		pageTerms = model.AppendTerms(pageTerms, g, int32(p))
+	}
+	// start[t]:start[t+1] brackets term t's pages in byTerm.
+	start := make([]int32, vocab+1)
+	for _, t := range pageTerms {
+		start[t+1]++
+	}
+	for t := 0; t < vocab; t++ {
+		start[t+1] += start[t]
+	}
+	byTerm := make([]int32, len(pageTerms))
+	next := append([]int32(nil), start[:vocab]...)
+	for i, t := range pageTerms {
+		byTerm[next[t]] = int32(i / per)
+		next[t]++
+	}
+	for s := range f.shards {
+		sh := &f.shards[s]
+		sh.pages = assign.Pages[s]
+		sh.locals = make([]int32, 0, len(sh.pages)*per)
+	}
+	// shardsOf[t] counts the shards holding term t; pairs sums them.
+	shardsOf := make([]int32, vocab)
+	pairs := 0
+	for t := 0; t < vocab; t++ {
+		for _, p := range byTerm[start[t]:start[t+1]] {
+			sh := &f.shards[assign.GroupOf[p]]
+			if k := len(sh.terms); k == 0 || sh.terms[k-1] != int32(t) {
+				sh.terms = append(sh.terms, int32(t))
+				sh.off = append(sh.off, int32(len(sh.locals)))
+				shardsOf[t]++
+				pairs++
+			}
+			sh.locals = append(sh.locals, assign.LocalIdx[p])
+		}
+	}
+	// The planner's per-term lists share one backing array, filled in
+	// ascending shard order below.
+	backing := make([]int32, 0, pairs)
+	for t, c := range shardsOf {
+		f.termShards[t] = backing[len(backing) : len(backing) : len(backing)+int(c)]
+		backing = backing[:len(backing)+int(c)]
+	}
+	for s := range f.shards {
+		sh := &f.shards[s]
+		sh.off = append(sh.off, int32(len(sh.locals)))
+		for _, t := range sh.terms {
+			f.termShards[t] = append(f.termShards[t], int32(s))
+		}
+	}
 }
 
 // Store returns the snapshot store queries score against.

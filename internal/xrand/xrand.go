@@ -40,8 +40,15 @@ type Rand struct {
 // New returns a Rand whose state is expanded from seed with SplitMix64,
 // as recommended by the xoshiro authors.
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
+	// Small enough to inline, so a stream that does not outlive its
+	// caller stays on the caller's stack.
 	var r Rand
+	r.seed(seed)
+	return &r
+}
+
+func (r *Rand) seed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range r.s {
 		r.s[i] = sm.Next()
 	}
@@ -50,7 +57,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &r
 }
 
 // Fork returns a new independent stream derived from this one. Forked
@@ -144,14 +150,17 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 }
 
 // Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s. It precomputes the CDF, so sampling is O(log n).
+// 1/(i+1)^s. It precomputes the CDF, so sampling is O(log n). The CDF
+// is read-only after construction: one table can serve any number of
+// streams through SampleWith, concurrently.
 type Zipf struct {
 	cdf []float64
 	rng *Rand
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s using the
-// stream rng. It panics if n <= 0 or s < 0.
+// stream rng. rng may be nil for a table that is only sampled through
+// SampleWith. It panics if n <= 0 or s < 0.
 func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf with non-positive n")
@@ -173,9 +182,13 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// Sample draws one index.
-func (z *Zipf) Sample() int {
-	u := z.rng.Float64()
+// Sample draws one index from the sampler's own stream.
+func (z *Zipf) Sample() int { return z.SampleWith(z.rng) }
+
+// SampleWith draws one index from the stream r. Draws are identical to
+// Sample on a sampler built over r with the same n and s.
+func (z *Zipf) SampleWith(r *Rand) int {
+	u := r.Float64()
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2

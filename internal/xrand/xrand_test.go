@@ -250,6 +250,28 @@ func TestZipfN(t *testing.T) {
 	}
 }
 
+// TestZipfSampleWithMatchesSample checks that one shared table, read
+// through SampleWith, replays exactly the draws of a fresh sampler built
+// over each stream — the property the search text model relies on.
+func TestZipfSampleWithMatchesSample(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{1, 1}, {7, 0}, {1000, 1}, {5000, 0.8}} {
+		shared := NewZipf(nil, tc.n, tc.s)
+		for seed := uint64(0); seed < 20; seed++ {
+			fresh := NewZipf(New(seed), tc.n, tc.s)
+			r := New(seed)
+			for i := 0; i < 200; i++ {
+				if got, want := shared.SampleWith(r), fresh.Sample(); got != want {
+					t.Fatalf("n=%d s=%v seed=%d draw %d: SampleWith %d, Sample %d",
+						tc.n, tc.s, seed, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
