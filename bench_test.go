@@ -21,7 +21,6 @@ import (
 	"p2prank/internal/dprcore"
 	"p2prank/internal/engine"
 	"p2prank/internal/experiments"
-	"p2prank/internal/hits"
 	"p2prank/internal/nodeid"
 	"p2prank/internal/overlay"
 	"p2prank/internal/pagerank"
@@ -410,21 +409,6 @@ func BenchmarkIncrementalWarmStart(b *testing.B) {
 	}
 	b.ReportMetric(warmFirst, "warm_first_relerr")
 	b.ReportMetric(coldFirst, "cold_first_relerr")
-}
-
-// BenchmarkHITSBaseline times the HITS baseline the paper's
-// introduction references, alongside centralized PageRank.
-func BenchmarkHITSBaseline(b *testing.B) {
-	g := ablationGraph(b)
-	var iters int
-	for i := 0; i < b.N; i++ {
-		res, err := hits.Compute(g, hits.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = res.Iterations
-	}
-	b.ReportMetric(float64(iters), "iterations")
 }
 
 // BenchmarkExtrapolation compares plain vs extrapolated centralized

@@ -1,6 +1,7 @@
 // Command benchgate is the perf ratchet: it re-runs the gated
-// benchmark suite (the same pattern `make bench` records) and compares
-// the fresh numbers against the committed baseline BENCH_kernels.json.
+// benchmark suite (internal/benchgate.RunSuite, the same one `make
+// bench` records, pinned to one CPU) and compares the fresh numbers
+// against the committed baseline BENCH_kernels.json.
 //
 // The alloc gate is always on — an allocs/op increase on a gated
 // kernel fails (exact below 1000 allocs/op, 0.1% slack above for
@@ -21,22 +22,14 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 
 	"p2prank/internal/benchfmt"
 	"p2prank/internal/benchgate"
 )
-
-// benchPattern and benchPackages mirror the `make bench` invocation
-// that produces the baseline; the gate must measure what was recorded.
-const benchPattern = "MulVec|StepDelta|NewCSR|Fig6RelativeError|TransmissionScaling|ReliableSend|Schedule|EventLoop|GraphLoad|QueryTopK|SnapshotPublish|FrontendBuild"
-
-var benchPackages = []string{"./internal/vecmath/", "./internal/dprcore/", "./internal/simnet/", "./internal/webgraph/", "./internal/serve/", "."}
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_kernels.json", "committed baseline report")
@@ -91,22 +84,14 @@ func readBaseline(path string) (*benchfmt.Report, error) {
 	return rep, nil
 }
 
-// currentReport produces the fresh numbers: from a recorded file, from
-// stdin, or by running the gated suite like `make bench` does.
+// currentReport produces the fresh numbers: by running the gated suite
+// like `make bench` does, or from a recorded file or stdin.
 func currentReport(input string) (*benchfmt.Report, error) {
 	var sc *bufio.Scanner
 	switch input {
 	case "":
-		args := append([]string{"test", "-run", "^$", "-bench", benchPattern, "-benchmem"}, benchPackages...)
-		cmd := exec.Command("go", args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
 		fmt.Fprintln(os.Stderr, "benchgate: running gated benchmark suite...")
-		if err := cmd.Run(); err != nil {
-			return nil, fmt.Errorf("bench run: %v\n%s", err, stderr.String())
-		}
-		sc = bufio.NewScanner(&stdout)
+		return benchgate.RunSuite()
 	case "-":
 		sc = bufio.NewScanner(os.Stdin)
 	default:

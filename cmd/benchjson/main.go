@@ -1,40 +1,33 @@
-// Command benchjson converts `go test -bench` output on stdin into
-// stable, diffable JSON on stdout. `make bench` pipes the kernel and
-// transmission benchmarks through it to produce BENCH_kernels.json, so
-// perf changes are reviewed like any other diff — and gated by
-// cmd/benchgate, which re-runs the suite against that file.
+// Command benchjson records the gated kernel and transmission
+// benchmarks as stable, diffable JSON on stdout. `make bench` writes
+// its output to BENCH_kernels.json, so perf changes are reviewed like
+// any other diff — and gated by cmd/benchgate, which re-runs the same
+// suite (internal/benchgate.RunSuite) against that file.
 //
 // Results are emitted in sorted (name, procs) order so the document is
 // byte-stable regardless of package test order, and the header records
-// the Go version and GOMAXPROCS the numbers were measured under.
+// the Go version and the GOMAXPROCS the suite is pinned to.
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./... | go run ./cmd/benchjson
+//	go run ./cmd/benchjson > BENCH_kernels.json
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 
-	"p2prank/internal/benchfmt"
+	"p2prank/internal/benchgate"
 )
 
 func main() {
-	rep, err := benchfmt.Parse(bufio.NewScanner(os.Stdin))
+	fmt.Fprintln(os.Stderr, "benchjson: running gated benchmark suite...")
+	rep, err := benchgate.RunSuite()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	if len(rep.Results) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-	rep.GoVersion = runtime.Version()
-	rep.GoMaxProcs = runtime.GOMAXPROCS(0)
 	rep.Sort()
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -381,10 +381,11 @@ func runPeer(graphPath string, k, index int, listen, peersFlag string, params dp
 	if index < 0 || index >= k {
 		fatal(fmt.Errorf("index %d out of range for k=%d", index, k))
 	}
-	g, err := core.LoadCrawl(graphPath)
+	g, err := core.OpenCrawl(graphPath)
 	if err != nil {
 		fatal(err)
 	}
+	defer g.Close()
 	// The same deterministic ranker IDs the engine uses, so independent
 	// processes agree on the partition.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)

@@ -52,7 +52,7 @@ func main() {
 		ks      = flag.String("ks", "", "comma-separated ranker counts for sweeps (fig8/transmission/traffic/hops)")
 		maxTime = flag.Float64("maxtime", 90, "virtual-time horizon for fig6/fig7")
 		csvPath = flag.String("csv", "", "write curves as CSV to this file")
-		graph   = flag.String("graph", "", "rank this crawl file instead of generating one (text, v1, or v2 mapped)")
+		graph   = flag.String("graph", "", "rank this crawl file instead of generating one (text or version-2 binary)")
 		gstore  = flag.String("graphstore", "disk", "scale-experiment graph store: disk (generate to a temp file, mmap it) or mem")
 		gengen  = flag.String("gengraph", "", "internal: write the -pages/-sites/-seed workload to this path in mapped format and exit")
 		queries = flag.Int("queries", 5000, "serve-experiment query count per K")
@@ -74,11 +74,11 @@ func main() {
 
 	w := experiments.Workload{Pages: *pages, Sites: *sites, Seed: *seed}
 	if *graph != "" {
-		src, closeSrc, err := core.OpenCrawl(*graph)
+		src, err := core.OpenCrawl(*graph)
 		if err != nil {
 			fatal(err)
 		}
-		defer closeSrc()
+		defer src.Close()
 		w.Source = src
 	}
 	switch *exp {

@@ -212,3 +212,31 @@ func TestDprnodeMultiProcess(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphVersion1Rejected feeds a version-1 binary header to both
+// -graph consumers: each must exit non-zero naming the unsupported
+// version, not panic and not misparse it as text.
+func TestGraphVersion1Rejected(t *testing.T) {
+	graph := filepath.Join(t.TempDir(), "v1.bin")
+	run(t, "genweb", "-pages", "500", "-out", graph)
+	data, err := os.ReadFile(graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] = 1 // the version field
+	if err := os.WriteFile(graph, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"dprsim", "-exp", "fig7", "-graph", graph},
+		{"dprnode", "-graph", graph, "-k", "1", "-index", "0", "-listen", "127.0.0.1:0"},
+	} {
+		out, err := exec.Command(filepath.Join(builtDir, args[0]), args[1:]...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s accepted a version-1 graph:\n%s", args[0], out)
+		}
+		if !strings.Contains(string(out), "version 1 not supported") || strings.Contains(string(out), "panic") {
+			t.Fatalf("%s: want a version-1 rejection, got:\n%s", args[0], out)
+		}
+	}
+}

@@ -49,7 +49,11 @@ func encodeHeader(dst []byte, c transport.ScoreChunk) []byte {
 	return dst
 }
 
-func decodeHeader(src []byte) (c transport.ScoreChunk, n int, entries int, err error) {
+// decodeHeader parses the shared header. minEntry is the smallest wire
+// size of one entry under the calling codec: a header claiming more
+// entries than the remaining bytes could hold is rejected before the
+// caller sizes anything from it.
+func decodeHeader(src []byte, minEntry int) (c transport.ScoreChunk, n int, entries int, err error) {
 	fields := [5]uint64{}
 	pos := 0
 	for i := range fields {
@@ -60,9 +64,11 @@ func decodeHeader(src []byte) (c transport.ScoreChunk, n int, entries int, err e
 		fields[i] = v
 		pos += adv
 	}
-	const maxReasonable = 1 << 31
-	if fields[0] > maxReasonable || fields[1] > maxReasonable || fields[4] > maxReasonable {
+	if fields[0] > math.MaxInt32 || fields[1] > math.MaxInt32 || fields[4] > math.MaxInt32 {
 		return c, 0, 0, fmt.Errorf("codec: implausible header %v", fields)
+	}
+	if room := uint64((len(src) - pos) / minEntry); fields[4] > room {
+		return c, 0, 0, fmt.Errorf("codec: header claims %d entries, body holds at most %d", fields[4], room)
 	}
 	c.SrcGroup = int32(fields[0])
 	c.DstGroup = int32(fields[1])
@@ -90,7 +96,7 @@ func (Plain) Encode(dst []byte, c transport.ScoreChunk) []byte {
 
 // Decode implements Codec.
 func (Plain) Decode(src []byte) (transport.ScoreChunk, error) {
-	c, pos, n, err := decodeHeader(src)
+	c, pos, n, err := decodeHeader(src, 12)
 	if err != nil {
 		return c, err
 	}
@@ -139,7 +145,7 @@ func (Delta) Encode(dst []byte, c transport.ScoreChunk) []byte {
 
 // Decode implements Codec.
 func (Delta) Decode(src []byte) (transport.ScoreChunk, error) {
-	c, pos, n, err := decodeHeader(src)
+	c, pos, n, err := decodeHeader(src, 9) // ≥1-byte gap + 8-byte score
 	if err != nil {
 		return c, err
 	}
@@ -156,7 +162,10 @@ func (Delta) Decode(src []byte) (transport.ScoreChunk, error) {
 		}
 		v := math.Float64frombits(binary.LittleEndian.Uint64(src[pos:]))
 		pos += 8
-		idx := prev + int32(gap)
+		idx, err := addGap(prev, gap)
+		if err != nil {
+			return c, err
+		}
 		c.Entries = append(c.Entries, transport.ScoreEntry{DstLocal: idx, Value: v})
 		prev = idx
 	}
@@ -164,6 +173,16 @@ func (Delta) Decode(src []byte) (transport.ScoreChunk, error) {
 		return c, fmt.Errorf("codec: %d trailing bytes", len(src)-pos)
 	}
 	return c, nil
+}
+
+// addGap applies one decoded index gap. A sum past int32 is rejected:
+// no encoder writes one, and wrapping it would yield unsorted entries
+// that the gap encoders refuse to re-encode.
+func addGap(prev int32, gap uint64) (int32, error) {
+	if gap > uint64(math.MaxInt32-prev) {
+		return 0, fmt.Errorf("codec: index gap %d overflows past page %d", gap, prev)
+	}
+	return prev + int32(gap), nil
 }
 
 // Quantized is Delta with scores rounded to MantissaBits mantissa bits
@@ -229,7 +248,7 @@ func (q Quantized) Encode(dst []byte, c transport.ScoreChunk) []byte {
 
 // Decode implements Codec.
 func (q Quantized) Decode(src []byte) (transport.ScoreChunk, error) {
-	c, pos, n, err := decodeHeader(src)
+	c, pos, n, err := decodeHeader(src, 2) // ≥1-byte gap + ≥1-byte score
 	if err != nil {
 		return c, err
 	}
@@ -246,7 +265,10 @@ func (q Quantized) Decode(src []byte) (transport.ScoreChunk, error) {
 			return c, fmt.Errorf("codec: truncated quantized score %d", i)
 		}
 		pos += adv
-		idx := prev + int32(gap)
+		idx, err := addGap(prev, gap)
+		if err != nil {
+			return c, err
+		}
 		c.Entries = append(c.Entries, transport.ScoreEntry{DstLocal: idx, Value: q.dequantize(u)})
 		prev = idx
 	}

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,6 +219,40 @@ func BenchmarkDecodeDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (Delta{}).Decode(enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// lyingHeader is a ~10-byte chunk whose header claims 2²⁴ entries.
+func lyingHeader() []byte {
+	var src []byte
+	for _, v := range []uint64{1, 2, 3, 4, 1 << 24} {
+		src = binary.AppendUvarint(src, v)
+	}
+	return append(src, 0, 0)
+}
+
+// allocDuring returns the bytes f allocated, per runtime.MemStats.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// An entry count the body cannot hold must be rejected before any slice
+// is sized from it: sizing first would let a 10-byte chunk ask for
+// hundreds of MiB.
+func TestDecodeBoundsEntryCount(t *testing.T) {
+	src := lyingHeader()
+	for _, cd := range allCodecs() {
+		var err error
+		if n := allocDuring(func() { _, err = cd.Decode(src) }); n > 1<<20 {
+			t.Errorf("%s: decoding a %d-byte chunk allocated %d bytes", cd.Name(), len(src), n)
+		}
+		if err == nil {
+			t.Errorf("%s: accepted a header claiming 2^24 entries", cd.Name())
 		}
 	}
 }

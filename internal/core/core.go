@@ -38,10 +38,11 @@ type (
 	Sample = engine.Sample
 	// GenConfig configures the synthetic crawl generator.
 	GenConfig = webgraph.GenConfig
-	// Graph is a crawled link graph held in memory.
+	// Graph is a crawled link graph, built on the heap or mapped from a
+	// version-2 file; it is the one Store implementation.
 	Graph = webgraph.Graph
-	// Store is the read interface every graph-consuming API accepts —
-	// satisfied by *Graph and by the mmap-backed webgraph.Mapped.
+	// Store is the read interface every graph-consuming API accepts;
+	// *Graph implements it.
 	Store = webgraph.Store
 )
 
@@ -76,82 +77,47 @@ func GenerateCrawl(pages int, seed uint64) (*Graph, error) {
 	return webgraph.Generate(cfg)
 }
 
-// sniffFormat reads the 16-byte prefix of a graph file and classifies
-// it: 0 = text, otherwise the binary version number.
-func sniffFormat(f *os.File, path string) (uint64, error) {
+// sniffFormat reads the 16-byte prefix of a graph file and reports
+// whether it is a version-2 binary file (false means text). A binary
+// file of any other version is an error: version 1, the old streamed
+// format, is no longer supported.
+func sniffFormat(f *os.File, path string) (bool, error) {
 	hdr := make([]byte, 16)
 	n, err := io.ReadFull(f, hdr)
 	if err != nil && n == 0 {
-		return 0, fmt.Errorf("core: empty graph file %s", path)
+		return false, fmt.Errorf("core: empty graph file %s", path)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
+		return false, err
 	}
 	if n < 16 || string(hdr[:8]) != "P2PRGRPH" {
-		return 0, nil
+		return false, nil
 	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
+	if v := binary.LittleEndian.Uint64(hdr[8:]); v != 2 {
+		return false, fmt.Errorf("core: %s: binary graph version %d not supported (want version 2)", path, v)
+	}
+	return true, nil
 }
 
-// LoadCrawl reads a crawl from a file into memory, auto-detecting the
-// format by its magic bytes: version-2 mapped, version-1 streamed, or
-// text. For large version-2 files prefer OpenCrawl, which maps the file
-// instead of copying it onto the heap.
-func LoadCrawl(path string) (*Graph, error) {
+// OpenCrawl opens a crawl file with the cheapest store for its format,
+// detected by its magic bytes: a version-2 binary file is memory-mapped
+// in O(1), a text file is parsed onto the heap. Close the result when
+// done with it (a no-op for a parsed text crawl).
+func OpenCrawl(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	version, err := sniffFormat(f, path)
-	if err != nil {
+	mapped, err := sniffFormat(f, path)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	switch version {
-	case 2:
-		m, err := webgraph.OpenMapped(path)
-		if err != nil {
-			return nil, err
-		}
-		g := webgraph.Materialize(m)
-		if err := m.Close(); err != nil {
-			return nil, err
-		}
-		return g, nil
-	case 0:
-		return webgraph.ReadText(f)
+	case mapped:
+		return webgraph.OpenMapped(path)
 	default:
-		return webgraph.ReadBinary(f)
+		return webgraph.ReadText(f)
 	}
-}
-
-// OpenCrawl opens a crawl for reading with the cheapest store for its
-// format: version-2 files are mmapped in O(1); anything else is parsed
-// into memory. The returned closer must be called when the store is no
-// longer needed (it is a no-op for in-memory graphs).
-func OpenCrawl(path string) (Store, func() error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	version, err := sniffFormat(f, path)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	f.Close()
-	if version == 2 {
-		m, err := webgraph.OpenMapped(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, m.Close, nil
-	}
-	g, err := LoadCrawl(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, func() error { return nil }, nil
 }
 
 // SaveCrawl writes a crawl in the version-2 mapped binary format, the

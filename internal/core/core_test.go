@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -53,23 +54,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := SaveCrawl(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadCrawl(path)
+	g2, err := OpenCrawl(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer g2.Close()
+	if g2.Fingerprint() != g.Fingerprint() || g2.Validate() != nil {
+		t.Fatal("round trip changed the graph")
 	}
 	if g2.NumPages() != g.NumPages() || g2.NumInternalLinks() != g.NumInternalLinks() {
 		t.Fatal("round trip changed the graph")
 	}
 }
 
-func TestLoadCrawlTextFallback(t *testing.T) {
+func TestOpenCrawlTextFallback(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "crawl.txt")
 	content := "site 0 a.edu\npage 0 0\npage 1 0\nlink 0 1\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadCrawl(path)
+	g, err := OpenCrawl(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +83,8 @@ func TestLoadCrawlTextFallback(t *testing.T) {
 	}
 }
 
-func TestLoadCrawlErrors(t *testing.T) {
-	if _, err := LoadCrawl("/nonexistent/file"); err == nil {
+func TestOpenCrawlErrors(t *testing.T) {
+	if _, err := OpenCrawl("/nonexistent/file"); err == nil {
 		t.Error("missing file accepted")
 	}
 	dir := t.TempDir()
@@ -87,8 +92,33 @@ func TestLoadCrawlErrors(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCrawl(empty); err == nil {
+	if _, err := OpenCrawl(empty); err == nil {
 		t.Error("empty file accepted")
+	}
+}
+
+// A version-1 binary file is refused by name, not handed to the text
+// parser or the version-2 mapper.
+func TestOpenCrawlRejectsVersion1(t *testing.T) {
+	g, err := GenerateCrawl(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.bin")
+	if err := SaveCrawl(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] = 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenCrawl(path)
+	if err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Fatalf("version-1 file: err = %v", err)
 	}
 }
 

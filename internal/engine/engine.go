@@ -60,8 +60,8 @@ func (k OverlayKind) String() string {
 type Config struct {
 	// Params are the shared DPR loop parameters (see dprcore.Params).
 	dprcore.Params
-	// Graph is the crawl to rank; any Store works (in-memory Graph or
-	// an mmap-backed Mapped that must stay open for the whole run).
+	// Graph is the crawl to rank; a mapped graph must stay open for the
+	// whole run.
 	Graph webgraph.Store
 	// K is the number of page rankers.
 	K int

@@ -55,7 +55,7 @@ type Workload struct {
 	// Source, if set, is used verbatim instead of generating — this is
 	// how presets run against an mmap-backed on-disk graph (or a real
 	// crawl) rather than an in-memory synthetic one. The caller keeps
-	// ownership: a Mapped source must stay open for the preset's
+	// ownership: a mapped source must stay open for the preset's
 	// duration.
 	Source webgraph.Store
 }

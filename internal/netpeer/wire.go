@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 
 	"p2prank/internal/transport"
 )
@@ -109,13 +110,16 @@ type codecReader struct {
 	r     *bufio.Reader
 }
 
-// maxFrameChunks, maxChunkBytes, and maxFrameAcks bound what a reader
-// will allocate for one frame; a peer advertising more is broken or
-// hostile.
+// maxFrameChunks, maxChunkBytes, and maxFrameAcks bound what one frame
+// may advertise; a peer advertising more is broken or hostile. Within
+// the bounds the reader commits memory only as chunks and bytes arrive:
+// at most initChunks chunk slots and readStep body bytes up front.
 const (
 	maxFrameChunks = 1 << 20
 	maxChunkBytes  = 1 << 26
 	maxFrameAcks   = 1 << 20
+	initChunks     = 64
+	readStep       = 64 << 10
 )
 
 func (r *codecReader) readFrame() (frame, error) {
@@ -126,7 +130,7 @@ func (r *codecReader) readFrame() (frame, error) {
 	if count > maxFrameChunks {
 		return frame{}, fmt.Errorf("netpeer: frame advertises %d chunks", count)
 	}
-	f := frame{Chunks: make([]transport.ScoreChunk, 0, count)}
+	f := frame{Chunks: make([]transport.ScoreChunk, 0, min(count, initChunks))}
 	for i := uint64(0); i < count; i++ {
 		size, err := binary.ReadUvarint(r.r)
 		if err != nil {
@@ -135,8 +139,8 @@ func (r *codecReader) readFrame() (frame, error) {
 		if size > maxChunkBytes {
 			return frame{}, fmt.Errorf("netpeer: chunk advertises %d bytes", size)
 		}
-		buf := make([]byte, size)
-		if _, err := io.ReadFull(r.r, buf); err != nil {
+		buf, err := readBody(r.r, int(size))
+		if err != nil {
 			return frame{}, err
 		}
 		c, err := r.codec.Decode(buf)
@@ -164,4 +168,19 @@ func (r *codecReader) readFrame() (frame, error) {
 		f.Acks = append(f.Acks, wireAck{From: int32(uint32(from)), Round: int64(round)})
 	}
 	return f, nil
+}
+
+// readBody reads size bytes from r, growing the buffer by at most
+// readStep per read instead of sizing it from the advertised length.
+func readBody(r io.Reader, size int) ([]byte, error) {
+	var buf []byte
+	for len(buf) < size {
+		n := min(size-len(buf), readStep)
+		buf = slices.Grow(buf, n)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+n]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+n]
+	}
+	return buf, nil
 }

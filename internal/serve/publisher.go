@@ -59,13 +59,19 @@ func (p *Publisher) Save(ranker int, round int64, data []byte) error {
 	return nil
 }
 
+// observer lets Tracker embed the wrapped telemetry.Observer as an
+// unexported field, so every hook Tracker does not override forwards to
+// it.
+type observer = telemetry.Observer
+
 // Tracker drives the Store's staleness accounting from the telemetry
 // seam: install it as Params.Observer and every committed round ticks
 // the ranker's shard one round staler, until the next publish resets
-// it. All hooks forward to Next, so a collector can ride along.
+// it. Every hook also reaches the wrapped observer, so a collector can
+// ride along.
 type Tracker struct {
+	observer
 	store *Store
-	next  telemetry.Observer
 
 	maxStale atomic.Int64
 }
@@ -73,7 +79,10 @@ type Tracker struct {
 // NewTracker wraps store as an Observer, forwarding every hook to next
 // (nil for none).
 func NewTracker(store *Store, next telemetry.Observer) *Tracker {
-	return &Tracker{store: store, next: next}
+	if next == nil {
+		next = telemetry.Noop{}
+	}
+	return &Tracker{observer: next, store: store}
 }
 
 // MaxObservedStaleness returns the largest staleness any shard reached
@@ -83,7 +92,7 @@ func (t *Tracker) MaxObservedStaleness() int64 { return t.maxStale.Load() }
 
 // SetClock forwards the runtime clock to the wrapped collector.
 func (t *Tracker) SetClock(c telemetry.Clock) {
-	if cs, ok := t.next.(telemetry.ClockSetter); ok {
+	if cs, ok := t.observer.(telemetry.ClockSetter); ok {
 		cs.SetClock(c)
 	}
 }
@@ -91,15 +100,8 @@ func (t *Tracker) SetClock(c telemetry.Clock) {
 // SetHops forwards the hop-attribution function to the wrapped
 // collector.
 func (t *Tracker) SetHops(h func(src, dst int) int) {
-	if hs, ok := t.next.(telemetry.HopsSetter); ok {
+	if hs, ok := t.observer.(telemetry.HopsSetter); ok {
 		hs.SetHops(h)
-	}
-}
-
-// ComputeStart implements telemetry.Observer.
-func (t *Tracker) ComputeStart(ranker int, round int64) {
-	if t.next != nil {
-		t.next.ComputeStart(ranker, round)
 	}
 }
 
@@ -113,49 +115,5 @@ func (t *Tracker) ComputeEnd(ranker int, round int64, s telemetry.ComputeStats) 
 			break
 		}
 	}
-	if t.next != nil {
-		t.next.ComputeEnd(ranker, round, s)
-	}
-}
-
-// ChunkSent implements telemetry.Observer.
-func (t *Tracker) ChunkSent(ranker int, c telemetry.ChunkStats) {
-	if t.next != nil {
-		t.next.ChunkSent(ranker, c)
-	}
-}
-
-// FaultInjected implements telemetry.Observer.
-func (t *Tracker) FaultInjected(ranker int, kind telemetry.FaultKind) {
-	if t.next != nil {
-		t.next.FaultInjected(ranker, kind)
-	}
-}
-
-// ChunkRetried implements telemetry.Observer.
-func (t *Tracker) ChunkRetried(ranker int, dst int, attempt int) {
-	if t.next != nil {
-		t.next.ChunkRetried(ranker, dst, attempt)
-	}
-}
-
-// AckReceived implements telemetry.Observer.
-func (t *Tracker) AckReceived(ranker int, dst int, round int64) {
-	if t.next != nil {
-		t.next.AckReceived(ranker, dst, round)
-	}
-}
-
-// Recovered implements telemetry.Observer.
-func (t *Tracker) Recovered(ranker int, round int64) {
-	if t.next != nil {
-		t.next.Recovered(ranker, round)
-	}
-}
-
-// Milestone implements telemetry.Observer.
-func (t *Tracker) Milestone(m telemetry.Milestone) {
-	if t.next != nil {
-		t.next.Milestone(m)
-	}
+	t.observer.ComputeEnd(ranker, round, s)
 }

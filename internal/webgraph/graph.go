@@ -10,20 +10,21 @@
 // rather than 1. A page's out-degree d(u) therefore always counts both
 // internal and external links.
 //
-// Graph access goes through the Store interface (see store.go), which
-// has two implementations: Graph, the in-memory arrays built here, and
-// Mapped, a read-only view over the on-disk binary format whose arrays
-// are memory-mapped so multi-million-page crawls load in O(1)
-// (see mapped.go and DESIGN.md §15).
+// Consumers read graphs through the Store interface (see store.go),
+// whose one implementation is Graph. A Graph's arrays are either built
+// on the heap (Builder, Generate, ReadText) or alias a memory-mapped
+// version-2 binary file, so multi-million-page crawls open in O(1)
+// (OpenMapped; see mapped.go and DESIGN.md §15).
 package webgraph
 
 import (
 	"fmt"
+	"math"
 )
 
-// Graph is an immutable crawled link graph held fully in memory. Build
-// one with a Builder, the Generate function, or one of the Read
-// functions. It implements Store.
+// Graph is an immutable crawled link graph. Build one on the heap with
+// a Builder, Generate, or ReadText, or map a version-2 file with
+// OpenMapped. It implements Store.
 type Graph struct {
 	// sites holds the hostname of every site, indexed by site ID.
 	sites []string
@@ -46,11 +47,16 @@ type Graph struct {
 	// is read concurrently by parallel experiment curves).
 	extLinks int64
 	fp       uint64
+
+	// data is the version-2 file image the arrays alias, nil for a heap
+	// graph; unmap releases it (nil when there is nothing to release).
+	data  []byte
+	unmap func() error
 }
 
-// seal freezes the derived values. Every constructor in this package
-// (Builder.Build, ReadText, ReadBinary, Materialize) calls it exactly
-// once, after which the graph must not be mutated.
+// seal freezes the derived values of a heap graph. Builder.Build calls
+// it exactly once, after which the graph must not be mutated. A mapped
+// graph takes both values from the file header instead.
 func (g *Graph) seal() *Graph {
 	g.extLinks = 0
 	for _, c := range g.extOut {
@@ -71,7 +77,7 @@ func (g *Graph) NumSites() int { return len(g.sites) }
 func (g *Graph) NumInternalLinks() int64 { return int64(len(g.outDst)) }
 
 // NumExternalLinks returns the number of links whose destination is
-// outside the crawl. The sum is cached at build/read time.
+// outside the crawl. The sum is cached at build or open time.
 func (g *Graph) NumExternalLinks() int64 { return g.extLinks }
 
 // OutDegree returns d(u): the total out-degree of page u, counting both
@@ -113,17 +119,32 @@ func (g *Graph) URL(p int32) string {
 	return fmt.Sprintf("http://%s/p%d.html", g.sites[g.siteOf[p]], g.localID[p])
 }
 
-// SiteName returns the hostname of page p's site.
-func (g *Graph) SiteName(p int32) string { return g.sites[g.siteOf[p]] }
-
 // Fingerprint returns the canonical structure fingerprint (see
-// Fingerprint in store.go), computed once at build/read time.
+// Fingerprint in store.go), computed at build time or read from the
+// file header. Validate recomputes it.
 func (g *Graph) Fingerprint() uint64 { return g.fp }
 
-// Validate checks structural invariants: monotone CSR pointers, in-range
-// destinations and site IDs, and matching slice lengths. A Graph built
-// by this package always validates; the check exists for graphs read
-// from external files.
+// Close releases a mapped graph's file: its arrays are dropped and every
+// slice borrowed from it (InternalOut results, most of all) is invalid
+// afterwards. Close is a no-op on a heap graph.
+func (g *Graph) Close() error {
+	if g.data == nil {
+		return nil
+	}
+	g.siteOf, g.localID, g.extOut, g.outPtr, g.outDst, g.data = nil, nil, nil, nil, nil, nil
+	if u := g.unmap; u != nil {
+		g.unmap = nil
+		return u()
+	}
+	return nil
+}
+
+// Validate checks structural invariants (matching slice lengths,
+// monotone CSR pointers, in-range destinations and site IDs), then the
+// cached external-link sum and fingerprint against a recomputation from
+// the arrays. A Graph built by a Builder always validates; the check
+// exists for mapped graphs, where it is the O(pages + links) walk
+// OpenMapped deliberately skips.
 func (g *Graph) Validate() error {
 	n := g.NumPages()
 	if len(g.localID) != n || len(g.extOut) != n {
@@ -153,11 +174,22 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("webgraph: edge %d targets invalid page %d", k, d)
 		}
 	}
+	var ext int64
+	for _, c := range g.extOut {
+		ext += int64(c)
+	}
+	if ext != g.extLinks {
+		return fmt.Errorf("webgraph: cached external-link count %d, pages sum to %d", g.extLinks, ext)
+	}
+	if fp := fingerprintArrays(g.sites, g.siteOf, g.localID, g.extOut, g.outPtr, g.outDst); fp != g.fp {
+		return fmt.Errorf("webgraph: cached fingerprint %#x, arrays hash to %#x", g.fp, fp)
+	}
 	return nil
 }
 
 // Builder accumulates sites, pages, and links, then produces an
-// immutable Graph. The zero value is ready to use.
+// immutable Graph. Every Add method checks its arguments, so a built
+// Graph always passes Validate. The zero value is ready to use.
 type Builder struct {
 	sites    []string
 	siteIdx  map[string]int32
@@ -229,6 +261,9 @@ func (b *Builder) AddExternalLinks(u int32, k int) error {
 	}
 	if k < 0 {
 		return fmt.Errorf("webgraph: negative external link count %d", k)
+	}
+	if int64(b.extOut[u])+int64(k) > math.MaxInt32 {
+		return fmt.Errorf("webgraph: page %d has more than %d external links", u, math.MaxInt32)
 	}
 	b.extOut[u] += int32(k)
 	return nil

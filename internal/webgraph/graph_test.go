@@ -1,6 +1,7 @@
 package webgraph
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,23 +93,6 @@ func TestURLStableAndDistinct(t *testing.T) {
 	}
 }
 
-func TestPagesOfSite(t *testing.T) {
-	var b Builder
-	s0 := b.AddSite("a.edu")
-	s1 := b.AddSite("b.edu")
-	b.AddPage(s0)
-	b.AddPage(s1)
-	b.AddPage(s0)
-	g := b.Build()
-	ps := PagesOfSite(g, s0)
-	if len(ps) != 2 || ps[0] != 0 || ps[1] != 2 {
-		t.Fatalf("PagesOfSite(a.edu) = %v", ps)
-	}
-	if n := g.SiteName(1); n != "b.edu" {
-		t.Fatalf("SiteName = %q", n)
-	}
-}
-
 func TestBuilderErrors(t *testing.T) {
 	var b Builder
 	s := b.AddSite("a.edu")
@@ -124,6 +108,12 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if err := b.AddExternalLinks(0, -2); err == nil {
 		t.Error("negative external count accepted")
+	}
+	if err := b.AddExternalLinks(0, math.MaxInt32); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddExternalLinks(0, 1); err == nil {
+		t.Error("external count past int32 accepted")
 	}
 }
 
@@ -179,17 +169,6 @@ func TestValidateRejectsCorrupt(t *testing.T) {
 	g.extOut = g.extOut[:2]
 	if err := g.Validate(); err == nil {
 		t.Error("short ExtOut accepted")
-	}
-}
-
-func TestInDegrees(t *testing.T) {
-	g := tinyGraph(t)
-	in := InDegrees(g)
-	want := []int32{0, 1, 1, 2}
-	for i, w := range want {
-		if in[i] != w {
-			t.Fatalf("in-degrees = %v, want %v", in, want)
-		}
 	}
 }
 

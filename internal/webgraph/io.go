@@ -2,7 +2,6 @@ package webgraph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -44,7 +43,8 @@ func WriteText(w io.Writer, g Store) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text format.
+// ReadText parses the text format. The Builder checks every line as it
+// is added, so the result needs no separate Validate pass.
 func ReadText(r io.Reader) (*Graph, error) {
 	var b Builder
 	sc := bufio.NewScanner(r)
@@ -118,160 +118,5 @@ func ReadText(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("webgraph: reading text graph: %w", err)
 	}
-	g := b.Build()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Binary format, version 1 (streamed)
-//
-// magic "P2PRGRPH" | u64 version | u64 sites | u64 pages | u64 links |
-// site table (u16 len + bytes each) | SiteOf | LocalID | ExtOut |
-// OutPtr | OutDst, all little-endian fixed width. Reading is
-// O(pages + links); the version-2 layout in mapped.go shares the magic
-// and opens in O(1) via mmap.
-
-const (
-	binaryMagic   = "P2PRGRPH"
-	binaryVersion = 1
-)
-
-// WriteBinary writes g in the version-1 streamed binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := []uint64{binaryVersion, uint64(g.NumSites()), uint64(g.NumPages()), uint64(len(g.outDst))}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, host := range g.sites {
-		if len(host) > 1<<16-1 {
-			return fmt.Errorf("webgraph: hostname too long (%d bytes)", len(host))
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(host))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(host); err != nil {
-			return err
-		}
-	}
-	for _, arr := range [][]int32{g.siteOf, g.localID, g.extOut} {
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outPtr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outDst); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// readChunkCap bounds how much a single binary.Read allocates up
-// front, so a corrupt header claiming 2³¹ pages fails with a short
-// read instead of a multi-GB allocation.
-const readChunkCap = 1 << 20
-
-func readI32s(br io.Reader, count uint64, what string) ([]int32, error) {
-	out := make([]int32, 0, min64(count, readChunkCap))
-	for count > 0 {
-		n := min64(count, readChunkCap)
-		chunk := make([]int32, n)
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("webgraph: reading %s: %w", what, err)
-		}
-		out = append(out, chunk...)
-		count -= n
-	}
-	return out, nil
-}
-
-func readI64s(br io.Reader, count uint64, what string) ([]int64, error) {
-	out := make([]int64, 0, min64(count, readChunkCap))
-	for count > 0 {
-		n := min64(count, readChunkCap)
-		chunk := make([]int64, n)
-		if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-			return nil, fmt.Errorf("webgraph: reading %s: %w", what, err)
-		}
-		out = append(out, chunk...)
-		count -= n
-	}
-	return out, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ReadBinary parses the version-1 binary format and validates the
-// result.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("webgraph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("webgraph: bad magic %q", magic)
-	}
-	var version, sites, pages, links uint64
-	for _, p := range []*uint64{&version, &sites, &pages, &links} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("webgraph: reading header: %w", err)
-		}
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("webgraph: unsupported version %d", version)
-	}
-	const maxDim = 1 << 31
-	if sites > maxDim || pages > maxDim || links > 1<<40 {
-		return nil, fmt.Errorf("webgraph: implausible header (sites=%d pages=%d links=%d)", sites, pages, links)
-	}
-	// Grow the site table as entries actually arrive (each costs ≥2
-	// stream bytes) rather than trusting the header count up front —
-	// same reasoning as readChunkCap below.
-	g := &Graph{sites: make([]string, 0, min64(sites, readChunkCap))}
-	for i := uint64(0); i < sites; i++ {
-		var n uint16
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("webgraph: reading site table: %w", err)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("webgraph: reading site name: %w", err)
-		}
-		g.sites = append(g.sites, string(buf))
-	}
-	var err error
-	if g.siteOf, err = readI32s(br, pages, "page arrays"); err != nil {
-		return nil, err
-	}
-	if g.localID, err = readI32s(br, pages, "page arrays"); err != nil {
-		return nil, err
-	}
-	if g.extOut, err = readI32s(br, pages, "page arrays"); err != nil {
-		return nil, err
-	}
-	if g.outPtr, err = readI64s(br, pages+1, "OutPtr"); err != nil {
-		return nil, err
-	}
-	if g.outDst, err = readI32s(br, links, "OutDst"); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g.seal(), nil
+	return b.Build(), nil
 }

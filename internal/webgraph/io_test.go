@@ -74,11 +74,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
+	g2, err := MappedFromBytes(mappedBytes(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,51 +109,17 @@ func TestReadTextSkipsCommentsAndBlanks(t *testing.T) {
 	}
 }
 
-func TestReadBinaryErrors(t *testing.T) {
-	// Bad magic.
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOTMAGIC"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncated header.
-	if _, err := ReadBinary(bytes.NewReader([]byte("P2PRGRPH\x01"))); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// Corrupt version.
-	g := tinyGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[8] = 99 // version byte
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Error("bad version accepted")
-	}
-	// Truncated body.
-	buf.Reset()
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-4]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body accepted")
-	}
-}
-
 func TestBinarySmallerThanText(t *testing.T) {
 	g, err := Generate(DefaultGenConfig(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tb, bb bytes.Buffer
+	var tb bytes.Buffer
 	if err := WriteText(&tb, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&bb, g); err != nil {
-		t.Fatal(err)
-	}
-	if bb.Len() >= tb.Len() {
-		t.Fatalf("binary (%d B) not smaller than text (%d B)", bb.Len(), tb.Len())
+	if bin := len(mappedBytes(t, g)); bin >= tb.Len() {
+		t.Fatalf("binary (%d B) not smaller than text (%d B)", bin, tb.Len())
 	}
 }
 
@@ -177,33 +139,5 @@ func TestStatsEmptyGraph(t *testing.T) {
 	s := ComputeStats(g)
 	if s.IntraSiteFrac() != 0 || s.ExternalFrac() != 0 || s.MeanOutDegree != 0 {
 		t.Fatalf("empty graph stats: %+v", s)
-	}
-}
-
-func BenchmarkBinaryRoundTrip(b *testing.B) {
-	g, err := Generate(DefaultGenConfig(10000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteBinary(&buf, g); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestWriteBinaryRejectsHugeHostname(t *testing.T) {
-	var b Builder
-	b.AddSite(strings.Repeat("x", 1<<16))
-	g := b.Build()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err == nil {
-		t.Fatal("oversized hostname accepted")
 	}
 }

@@ -10,9 +10,8 @@ import (
 
 // On-disk binary format, version 2 ("mapped" format)
 //
-// Version 1 (io.go) streams the arrays through binary.Read, so opening
-// a crawl costs O(pages + links) time and RAM. Version 2 lays the same
-// arrays out so a reader can point at them in place:
+// The Graph arrays are laid out so a reader can point at them in
+// place:
 //
 //	offset  size  field
 //	0       8     magic "P2PRGRPH"
@@ -36,6 +35,7 @@ import (
 // fingerprint, cached on every Store) is known up front, so sections
 // stream out in order with no backpatching.
 const (
+	binaryMagic    = "P2PRGRPH"
 	mappedVersion  = 2
 	mappedSections = 7
 	// mappedHeaderLen covers the fixed header plus the section table.
@@ -280,47 +280,30 @@ func WriteMappedFile(path string, s Store) error {
 	return f.Close()
 }
 
-// Mapped is a read-only Store over a version-2 binary graph whose
-// arrays alias the underlying (usually memory-mapped) bytes: opening
-// is O(1) in the graph size and pages fault in on demand. Slices
-// returned by InternalOut borrow the mapping and die with Close.
-type Mapped struct {
-	data  []byte
-	unmap func() error
-
-	sites   []string // decoded eagerly: O(sites), sites ≪ pages
-	siteOf  []int32
-	localID []int32
-	extOut  []int32
-	outPtr  []int64
-	outDst  []int32
-
-	extLinks int64
-	fp       uint64
-}
-
-// OpenMapped memory-maps the version-2 graph at path. Only the header,
-// section table, and site-name table are touched, so opening a
-// multi-million-page graph costs O(sites), not O(pages + links); run
-// Validate for a full structural check. Callers must Close the result
-// when done with it and with every slice borrowed from it.
-func OpenMapped(path string) (*Mapped, error) {
+// OpenMapped memory-maps the version-2 graph at path and returns a
+// Graph whose arrays alias the mapping: opening is O(1) in the graph
+// size and pages fault in on demand. Only the header, section table,
+// and site-name table are touched, so opening a multi-million-page
+// graph costs O(sites), not O(pages + links); run Validate for a full
+// check. Callers must Close the result when done with it and with
+// every slice borrowed from it.
+func OpenMapped(path string) (*Graph, error) {
 	data, unmap, err := mmapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := parseMapped(data, unmap)
+	g, err := parseMapped(data, unmap)
 	if err != nil {
 		unmap()
 		return nil, err
 	}
-	return m, nil
+	return g, nil
 }
 
 // MappedFromBytes parses a version-2 graph already held in memory
-// (tests, fuzzing). The store aliases data where alignment allows;
-// data must not be mutated while the store is in use.
-func MappedFromBytes(data []byte) (*Mapped, error) {
+// (tests, fuzzing). The graph aliases data where alignment allows;
+// data must not be mutated while the graph is in use.
+func MappedFromBytes(data []byte) (*Graph, error) {
 	return parseMapped(data, nil)
 }
 
@@ -378,7 +361,7 @@ func readU32(data []byte, off int) uint32 {
 // parseMapped checks the header and section table (O(1)) plus the site
 // table (O(sites)), then aliases the arrays. It never reads the page
 // or link sections, so corrupt payloads surface in Validate, not here.
-func parseMapped(data []byte, unmap func() error) (*Mapped, error) {
+func parseMapped(data []byte, unmap func() error) (*Graph, error) {
 	if len(data) < mappedHeaderLen {
 		return nil, fmt.Errorf("webgraph: mapped: truncated header (%d bytes, need %d)", len(data), mappedHeaderLen)
 	}
@@ -387,7 +370,7 @@ func parseMapped(data []byte, unmap func() error) (*Mapped, error) {
 	}
 	version := readU64(data, 8)
 	if version != mappedVersion {
-		return nil, fmt.Errorf("webgraph: mapped: unsupported version %d (want %d; version-1 files go through ReadBinary)", version, mappedVersion)
+		return nil, fmt.Errorf("webgraph: mapped: unsupported version %d (want %d)", version, mappedVersion)
 	}
 	sites := readU64(data, 16)
 	pages := readU64(data, 24)
@@ -464,7 +447,7 @@ func parseMapped(data []byte, unmap func() error) (*Mapped, error) {
 		return nil, fmt.Errorf("webgraph: mapped: site-name blob has %d bytes, offsets cover %d", blob.count, prev)
 	}
 
-	m := &Mapped{
+	g := &Graph{
 		data:     data,
 		unmap:    unmap,
 		sites:    names,
@@ -478,110 +461,9 @@ func parseMapped(data []byte, unmap func() error) (*Mapped, error) {
 	}
 	// O(1) endpoint sanity so OutDegree/InternalOut can trust the CSR
 	// bounds. Full monotonicity is Validate's job.
-	if pages > 0 && (m.outPtr[0] != 0 || m.outPtr[pages] != int64(links)) {
+	if pages > 0 && (g.outPtr[0] != 0 || g.outPtr[pages] != int64(links)) {
 		return nil, fmt.Errorf("webgraph: mapped: OutPtr endpoints [%d,%d] disagree with %d links",
-			m.outPtr[0], m.outPtr[pages], links)
+			g.outPtr[0], g.outPtr[pages], links)
 	}
-	return m, nil
-}
-
-// Close releases the mapping. Every slice borrowed from the store
-// (InternalOut results, most of all) is invalid afterwards.
-func (m *Mapped) Close() error {
-	m.siteOf, m.localID, m.extOut, m.outPtr, m.outDst = nil, nil, nil, nil, nil
-	m.data = nil
-	if m.unmap == nil {
-		return nil
-	}
-	u := m.unmap
-	m.unmap = nil
-	return u()
-}
-
-// NumPages returns the number of pages in the graph.
-func (m *Mapped) NumPages() int { return len(m.siteOf) }
-
-// NumSites returns the number of sites in the graph.
-func (m *Mapped) NumSites() int { return len(m.sites) }
-
-// NumInternalLinks returns the number of links inside the crawl.
-func (m *Mapped) NumInternalLinks() int64 { return int64(len(m.outDst)) }
-
-// NumExternalLinks returns the header's cached external-link sum.
-func (m *Mapped) NumExternalLinks() int64 { return m.extLinks }
-
-// OutDegree returns d(u), counting internal and external links.
-//
-//p2plint:hotpath
-func (m *Mapped) OutDegree(u int32) int {
-	return int(m.outPtr[u+1]-m.outPtr[u]) + int(m.extOut[u])
-}
-
-// InternalOut returns page u's internal out-neighbours as a slice
-// borrowing the mapping; it must not be modified and dies with Close.
-//
-//p2plint:hotpath
-func (m *Mapped) InternalOut(u int32) []int32 {
-	return m.outDst[m.outPtr[u]:m.outPtr[u+1]]
-}
-
-// ExtOut returns the number of external out-links of page u.
-//
-//p2plint:hotpath
-func (m *Mapped) ExtOut(u int32) int32 { return m.extOut[u] }
-
-// SiteOf returns the site ID of page p.
-func (m *Mapped) SiteOf(p int32) int32 { return m.siteOf[p] }
-
-// LocalID returns page p's ordinal within its site.
-func (m *Mapped) LocalID(p int32) int32 { return m.localID[p] }
-
-// SiteHost returns the hostname of site s.
-func (m *Mapped) SiteHost(s int32) string { return m.sites[s] }
-
-// URL returns the canonical URL of page p.
-func (m *Mapped) URL(p int32) string {
-	return fmt.Sprintf("http://%s/p%d.html", m.sites[m.siteOf[p]], m.localID[p])
-}
-
-// SiteName returns the hostname of page p's site.
-func (m *Mapped) SiteName(p int32) string { return m.sites[m.siteOf[p]] }
-
-// Fingerprint returns the fingerprint recorded in the file header.
-// Validate recomputes it from the payload.
-func (m *Mapped) Fingerprint() uint64 { return m.fp }
-
-// Validate walks the whole file: structural invariants (monotone CSR
-// pointers, in-range IDs), the cached external-link sum, and the
-// header fingerprint against a recomputation from the payload.
-// O(pages + links) — the price OpenMapped deliberately skips.
-func (m *Mapped) Validate() error {
-	n := m.NumPages()
-	for i := 0; i < n; i++ {
-		if m.outPtr[i] > m.outPtr[i+1] {
-			return fmt.Errorf("webgraph: mapped: OutPtr not monotone at page %d", i)
-		}
-		if s := m.siteOf[i]; s < 0 || int(s) >= len(m.sites) {
-			return fmt.Errorf("webgraph: mapped: page %d has invalid site %d", i, s)
-		}
-		if m.extOut[i] < 0 {
-			return fmt.Errorf("webgraph: mapped: page %d has negative external count", i)
-		}
-	}
-	for k, d := range m.outDst {
-		if d < 0 || int(d) >= n {
-			return fmt.Errorf("webgraph: mapped: edge %d targets invalid page %d", k, d)
-		}
-	}
-	var ext int64
-	for _, c := range m.extOut {
-		ext += int64(c)
-	}
-	if ext != m.extLinks {
-		return fmt.Errorf("webgraph: mapped: header external-link count %d, payload sums to %d", m.extLinks, ext)
-	}
-	if got := FingerprintOf(m); got != m.fp {
-		return fmt.Errorf("webgraph: mapped: header fingerprint %#x, payload hashes to %#x", m.fp, got)
-	}
-	return nil
+	return g, nil
 }

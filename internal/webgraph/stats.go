@@ -54,8 +54,8 @@ func (s Stats) String() string {
 }
 
 // ComputeStats scans the graph once and returns its Stats. It
-// streams over InternalOut windows, so it works unchanged on a Mapped
-// store without materializing anything.
+// streams over InternalOut windows, so on a mapped graph it pages the
+// file in once without copying anything.
 func ComputeStats(g Store) Stats {
 	s := Stats{
 		Pages:         g.NumPages(),
@@ -85,15 +85,4 @@ func ComputeStats(g Store) Stats {
 		s.MeanOutDegree = float64(degSum) / float64(s.Pages)
 	}
 	return s
-}
-
-// InDegrees returns the internal in-degree of every page.
-func InDegrees(g Store) []int32 {
-	in := make([]int32, g.NumPages())
-	for p := 0; p < g.NumPages(); p++ {
-		for _, v := range g.InternalOut(int32(p)) {
-			in[v]++
-		}
-	}
-	return in
 }

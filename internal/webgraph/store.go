@@ -2,19 +2,18 @@ package webgraph
 
 import "hash/fnv"
 
-// Store is read-only access to a crawled link graph. It is the seam
-// between graph storage and every consumer (partitioning, group
-// assembly, the centralized reference solver, experiments): callers
-// never see the backing arrays, so a graph may live fully in memory
-// (Graph) or stay on disk behind an mmap (Mapped) without the consumer
-// changing.
+// Store is read-only access to a crawled link graph, the interface every
+// consumer (partitioning, group assembly, the centralized reference
+// solver, experiments) types against. Its one implementation is *Graph,
+// whose arrays either live on the heap or alias a memory-mapped
+// version-2 file; consumers cannot tell which.
 //
-// Slices returned by InternalOut borrow the store's backing memory:
-// they must not be modified, and for a Mapped store they become invalid
+// Slices returned by InternalOut borrow the graph's backing memory:
+// they must not be modified, and for a mapped graph they become invalid
 // once Close unmaps the file. Copy before retaining.
 //
-// All implementations are immutable after construction and safe for
-// concurrent readers.
+// A Store is immutable after construction and safe for concurrent
+// readers.
 type Store interface {
 	// NumPages returns the number of pages in the graph.
 	NumPages() int
@@ -24,7 +23,7 @@ type Store interface {
 	// inside the crawl.
 	NumInternalLinks() int64
 	// NumExternalLinks returns the number of links whose destination is
-	// outside the crawl. O(1): both stores cache the sum.
+	// outside the crawl. O(1): the sum is cached at build or open time.
 	NumExternalLinks() int64
 	// OutDegree returns d(u), counting internal and external links.
 	OutDegree(u int32) int
@@ -41,22 +40,21 @@ type Store interface {
 	SiteHost(s int32) string
 	// URL returns the canonical URL of page p.
 	URL(p int32) string
-	// SiteName returns the hostname of page p's site.
-	SiteName(p int32) string
 	// Fingerprint returns a stable FNV-64a digest of the graph
 	// structure: equal fingerprints mean byte-identical sites, page
 	// tables, and adjacency, independent of how the graph is stored.
 	Fingerprint() uint64
 	// Validate checks structural invariants (monotone CSR pointers,
-	// in-range IDs). O(pages + links).
+	// in-range IDs) and recomputes the cached external-link sum and
+	// fingerprint. O(pages + links).
 	Validate() error
 }
 
-// fingerprintArrays is the one canonical digest both stores agree on:
-// FNV-64a over the three counts, the length-prefixed site hostnames,
-// and the raw little-endian page/adjacency arrays, in that order. The
-// on-disk format embeds the result in its header so a Mapped store
-// answers Fingerprint without touching the arrays.
+// fingerprintArrays is the canonical graph digest: FNV-64a over the
+// three counts, the length-prefixed site hostnames, and the raw
+// little-endian page/adjacency arrays, in that order. The on-disk
+// format embeds the result in its header so a mapped graph answers
+// Fingerprint without touching the arrays.
 func fingerprintArrays(sites []string, siteOf, localID, extOut []int32, outPtr []int64, outDst []int32) uint64 {
 	h := fnv.New64a()
 	var buf [4096]byte
@@ -102,105 +100,4 @@ func fingerprintArrays(sites []string, siteOf, localID, extOut []int32, outPtr [
 	}
 	flush()
 	return h.Sum64()
-}
-
-// FingerprintOf recomputes a store's canonical fingerprint from its
-// contents (as opposed to Fingerprint, which both stores answer from a
-// cached or on-disk value). Mapped.Validate uses it to detect payload
-// corruption; tests use it to pin cross-store equality.
-func FingerprintOf(s Store) uint64 {
-	nPages := s.NumPages()
-	nSites := s.NumSites()
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:8])
-	}
-	w32 := func(v uint32) {
-		buf[0] = byte(v)
-		buf[1] = byte(v >> 8)
-		buf[2] = byte(v >> 16)
-		buf[3] = byte(v >> 24)
-		h.Write(buf[:4])
-	}
-	w64(uint64(nSites))
-	w64(uint64(nPages))
-	w64(uint64(s.NumInternalLinks()))
-	for i := 0; i < nSites; i++ {
-		host := s.SiteHost(int32(i))
-		w64(uint64(len(host)))
-		h.Write([]byte(host))
-	}
-	for p := 0; p < nPages; p++ {
-		w32(uint32(s.SiteOf(int32(p))))
-	}
-	for p := 0; p < nPages; p++ {
-		w32(uint32(s.LocalID(int32(p))))
-	}
-	for p := 0; p < nPages; p++ {
-		w32(uint32(s.ExtOut(int32(p))))
-	}
-	for p := 0; p < nPages; p++ {
-		for _, v := range s.InternalOut(int32(p)) {
-			w32(uint32(v))
-		}
-	}
-	// OutPtr is hashed after OutDst; rebuild it from the window widths
-	// (outPtr[0] = 0, outPtr[p+1] = outPtr[p] + len(window)).
-	var off int64
-	w64(0)
-	for p := 0; p < nPages; p++ {
-		off += int64(len(s.InternalOut(int32(p))))
-		w64(uint64(off))
-	}
-	return h.Sum64()
-}
-
-// Materialize returns an in-memory Graph with the same contents as s.
-// If s is already a *Graph it is returned unchanged (stores are
-// immutable); otherwise every array is copied, so the result outlives
-// the source store's Close.
-func Materialize(s Store) *Graph {
-	if g, ok := s.(*Graph); ok {
-		return g
-	}
-	nPages := s.NumPages()
-	nSites := s.NumSites()
-	g := &Graph{
-		sites:   make([]string, nSites),
-		siteOf:  make([]int32, nPages),
-		localID: make([]int32, nPages),
-		extOut:  make([]int32, nPages),
-		outPtr:  make([]int64, nPages+1),
-		outDst:  make([]int32, s.NumInternalLinks()),
-	}
-	for i := range g.sites {
-		g.sites[i] = s.SiteHost(int32(i))
-	}
-	var off int64
-	for p := 0; p < nPages; p++ {
-		u := int32(p)
-		g.siteOf[p] = s.SiteOf(u)
-		g.localID[p] = s.LocalID(u)
-		g.extOut[p] = s.ExtOut(u)
-		g.outPtr[p] = off
-		off += int64(copy(g.outDst[off:], s.InternalOut(u)))
-	}
-	g.outPtr[nPages] = off
-	return g.seal()
-}
-
-// PagesOfSite returns the page indices belonging to site s, in
-// increasing order.
-func PagesOfSite(g Store, s int32) []int32 {
-	var out []int32
-	for p := 0; p < g.NumPages(); p++ {
-		if g.SiteOf(int32(p)) == s {
-			out = append(out, int32(p))
-		}
-	}
-	return out
 }
