@@ -3,7 +3,12 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-gate chaos obs-smoke serve-smoke scale-smoke verify
+.PHONY: fmt build vet lint test race bench bench-gate chaos obs-smoke serve-smoke scale-smoke verify
+
+# Formatting: gofmt must have nothing to rewrite (it lists the files
+# it would change).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -73,5 +78,5 @@ scale-smoke:
 bench-gate:
 	$(GO) run ./cmd/benchgate
 
-verify: build vet lint test race chaos obs-smoke serve-smoke bench-gate
+verify: fmt build vet lint test race chaos obs-smoke serve-smoke bench-gate
 	@echo "verify: all checks passed"

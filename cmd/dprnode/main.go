@@ -22,8 +22,9 @@
 // pprof under /debug/pprof/. SIGQUIT dumps the trace ring to stderr.
 //
 // Demo mode with -serve adds the query tier (HTTP /search over the
-// published ranks). A serving demo does not end at -target: it reports
-// convergence, then keeps ranking and serving until SIGINT or SIGTERM.
+// published ranks). A demo with an HTTP endpoint (-obs or -serve) does
+// not end at -target: it reports convergence, then keeps ranking (and
+// serving) until SIGINT or SIGTERM.
 package main
 
 import (
@@ -62,7 +63,7 @@ func main() {
 		index     = flag.Int("index", 0, "this ranker's index (0..k-1)")
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address")
 		peersFlag = flag.String("peers", "", "peer addresses as idx=host:port, comma separated")
-		target    = flag.Float64("target", 1e-6, "demo: stop at this relative error (with -serve: report it and keep serving)")
+		target    = flag.Float64("target", 1e-6, "demo: stop at this relative error (with -obs or -serve: report it and keep running)")
 		obsAddr   = flag.String("obs", "", "serve telemetry over HTTP on this addr:port (empty = off)")
 
 		algName   = cliflags.Algorithm(flag.CommandLine)
@@ -194,15 +195,17 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 		fatal(err)
 	}
 	defer cl.Close()
-	// -serve: the query tier outlives convergence — the cluster keeps
-	// ranking and the tier keeps serving until SIGINT or SIGTERM, which
-	// stop both cleanly. Without -serve the demo ends at -target. A nil
-	// sig never fires.
+	// An HTTP endpoint (-obs or -serve) outlives convergence: the
+	// cluster keeps ranking, and the tier keeps serving, until SIGINT or
+	// SIGTERM, which stop both cleanly. Without one the demo ends at
+	// -target. A nil sig never fires.
 	var sig chan os.Signal
-	var served *int64
-	if store != nil {
+	if col != nil || store != nil {
 		sig = make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	}
+	var served *int64
+	if store != nil {
 		stopServe, counter, err := startServing(cl, g, k, store, col, srvAddr, qps, topk, params.Fault, seed, epoch)
 		if err != nil {
 			fatal(err)
@@ -243,7 +246,7 @@ func runDemo(pages, k int, params dprcore.Params, target float64, seed uint64, i
 		fmt.Printf("  %-40s rank %.4f\n", g.URL(int32(p)), ranks[p])
 	}
 	if sig != nil {
-		fmt.Println("ranking and serving until interrupted")
+		fmt.Println("ranking until interrupted")
 		<-sig
 		fmt.Println("shutting down")
 	}

@@ -52,8 +52,9 @@ func main() {
 	fmt.Printf("rankers published %d snapshot versions; current staleness %d rounds\n",
 		store.Version(), store.MaxStaleness())
 
-	// 2. The query tier: term-partitioned per-shard indexes over the
-	// published snapshots, merged per query with a bounded heap.
+	// 2. The query tier: one inverted index per shard over the pages
+	// the partition placed there, scored against the published
+	// snapshots and merged per query with a bounded heap.
 	ov, err := engine.BuildOverlay(engine.Pastry, k)
 	if err != nil {
 		log.Fatal(err)
@@ -89,22 +90,4 @@ func main() {
 			fmt.Println("  (no page contains all terms)")
 		}
 	}
-
-	// The static single-node index serves the same Request/Response API
-	// — the serving tier's answers match it shard-merge for scan.
-	ix, err := search.Build(graph, res.Final, ov, assign, search.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nstatic index: %d postings (%d crossed ranker boundaries to reach their term owner)\n",
-		ix.PostingsTotal, ix.PostingsMoved)
-
-	// Term ownership is a pure function of the overlay, so any ranker
-	// resolves the same owner for a term.
-	owner, err := ix.TermOwner(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("term %q lives on ranker %d (ID %s)\n",
-		search.TermName(0), owner, ov.NodeID(int(owner)))
 }

@@ -60,7 +60,8 @@ func obsRounds(t *testing.T, body string) int64 {
 // TestDprnodeObsSmoke is `make obs-smoke`: boot a 3-ranker dprnode
 // cluster with the observability server on an ephemeral port, scrape
 // /metrics while it runs, and check the round counters advance between
-// scrapes. It also probes the pprof index the -obs endpoint promises.
+// scrapes, both before and after the demo reports convergence. It also
+// probes the pprof index the -obs endpoint promises.
 func TestDprnodeObsSmoke(t *testing.T) {
 	cmd := exec.Command(filepath.Join(builtDir, "dprnode"),
 		"-demo", "-pages", "2500", "-k", "3", "-target", "1e-9",
@@ -119,5 +120,25 @@ func TestDprnodeObsSmoke(t *testing.T) {
 
 	if idx := obsScrape(t, base, "/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Fatalf("pprof index malformed:\n%.300s", idx)
+	}
+
+	// The endpoint outlives convergence: once the demo reports it has
+	// reached -target, /metrics still answers and the cluster keeps
+	// ranking until it is interrupted.
+	deadline = time.Now().Add(60 * time.Second)
+	for !strings.Contains(sb.String(), "converged to relative error") {
+		if time.Now().After(deadline) {
+			t.Fatalf("demo never reported convergence:\n%s", sb.String())
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	converged := obsRounds(t, obsScrape(t, base, "/metrics"))
+	grew = false
+	for i := 0; i < 200 && !grew; i++ {
+		time.Sleep(50 * time.Millisecond)
+		grew = obsRounds(t, obsScrape(t, base, "/metrics")) > converged
+	}
+	if !grew {
+		t.Fatalf("rounds_total stuck at %d after convergence", converged)
 	}
 }

@@ -101,8 +101,12 @@ func sniffFormat(f *os.File, path string) (bool, error) {
 
 // OpenCrawl opens a crawl file with the cheapest store for its format,
 // detected by its magic bytes: a version-2 binary file is memory-mapped
-// in O(1), a text file is parsed onto the heap. Close the result when
-// done with it (a no-op for a parsed text crawl).
+// and validated in one pass over its arrays, a text file is parsed onto
+// the heap (the parser checks every line). A mapped file whose payload
+// fails Validate — an out-of-range link, a broken offset table — is
+// closed and reported, never handed to a ranker that would index past
+// its arrays. Close the result when done with it (a no-op for a parsed
+// text crawl).
 func OpenCrawl(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -114,7 +118,15 @@ func OpenCrawl(path string) (*Graph, error) {
 	case err != nil:
 		return nil, err
 	case mapped:
-		return webgraph.OpenMapped(path)
+		g, err := webgraph.OpenMapped(path)
+		if err != nil {
+			return nil, err
+		}
+		if err := g.Validate(); err != nil {
+			g.Close()
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return g, nil
 	default:
 		return webgraph.ReadText(f)
 	}

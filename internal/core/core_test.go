@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,6 +120,38 @@ func TestOpenCrawlRejectsVersion1(t *testing.T) {
 	_, err = OpenCrawl(path)
 	if err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
 		t.Fatalf("version-1 file: err = %v", err)
+	}
+}
+
+// A mapped file whose payload is corrupt — here one out-dst entry far
+// past the page count — is refused at open, not handed to a reader
+// that would index past its arrays.
+func TestOpenCrawlValidatesMappedPayload(t *testing.T) {
+	g, err := GenerateCrawl(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumInternalLinks() == 0 {
+		t.Fatal("crawl has no links to corrupt")
+	}
+	path := filepath.Join(t.TempDir(), "crawl.bin")
+	if err := SaveCrawl(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The out-dst section is the seventh entry of the section table
+	// that starts at byte 64: {u32 kind, u32 elemSize, u64 off, u64 count}.
+	off := binary.LittleEndian.Uint64(data[64+6*24+8:])
+	binary.LittleEndian.PutUint32(data[off:], 0x7fffff00)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if g2, err := OpenCrawl(path); err == nil {
+		g2.Close()
+		t.Fatal("corrupt out-dst entry accepted")
 	}
 }
 

@@ -106,7 +106,7 @@ func TestDecodeSnapshotRanksRejectsCorrupt(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX"),
-		enc[:len(enc)-20], // truncated rank vector
+		enc[:len(enc)-20],                      // truncated rank vector
 		append([]byte("DPRS\x02"), enc[5:]...), // bad version
 	}
 	for i, data := range cases {

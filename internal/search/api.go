@@ -1,19 +1,11 @@
-// The query-serving API: the Request/Response contract shared by the
-// static Index and the snapshot-backed serving tier (internal/serve).
-//
-// Build keeps its shape, but querying is a single entry point —
-// Serve(Request, *Response) — so callers written against the static
-// index migrate unchanged onto versioned snapshot serving: the same
-// request either hits a frozen rank vector (here) or whatever snapshot
-// versions the rankers have published (serve.Querier).
+// The query contract: the Request/Response shapes the serving tier
+// (internal/serve) answers, over whatever snapshot versions the rankers
+// have published.
 package search
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-
-	"p2prank/internal/overlay"
 )
 
 // Typed sentinel errors of the query API. Wrap-aware: match with
@@ -47,10 +39,6 @@ func (e *OverloadError) Error() string {
 // Unwrap makes errors.Is(err, ErrOverloaded) match.
 func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
-// StaticVersion is the version a freshly built static Index serves:
-// its rank vector is frozen at build time, so there is exactly one.
-const StaticVersion = 1
-
 // Request is a conjunctive top-k query.
 type Request struct {
 	// Terms the result pages must ALL contain.
@@ -82,9 +70,15 @@ func (r Request) Validate(vocabulary int) error {
 	return nil
 }
 
+// Posting is one query result: a page and its rank.
+type Posting struct {
+	Page  int32
+	Score float64
+}
+
 // Cost is the overlay traffic of resolving one query: the lookup hops
-// from the requesting ranker to each consulted shard/owner, plus one
-// response message per consultation.
+// from the requesting ranker to each consulted shard, plus one response
+// message per consultation.
 type Cost struct {
 	LookupHops int
 	Responses  int
@@ -98,19 +92,17 @@ type Response struct {
 	// page ascending on ties).
 	Postings []Posting
 	// Version identifies the rank data that produced the scores: the
-	// oldest snapshot version consulted (StaticVersion for a static
-	// Index). Monotone across publishes.
+	// oldest snapshot version consulted. Monotone across publishes.
 	Version int64
 	// Staleness is how many committed rounds behind the live
 	// computation the served ranks are, maximized over consulted
-	// shards (0 for a static Index).
+	// shards.
 	Staleness int64
 	// Cost is the overlay traffic this query accounted for.
 	Cost Cost
 	// Coverage is the fraction of the shards the query planner wanted
 	// that actually contributed partial results: 1 on a healthy fan-out,
-	// lower when partitions or deadlines forced a partial merge. A
-	// static Index always serves full coverage.
+	// lower when partitions or deadlines forced a partial merge.
 	Coverage float64
 	// Degraded reports a partial answer: at least one planned shard was
 	// skipped, so Postings may miss matches that shard held. Paired
@@ -122,89 +114,4 @@ type Response struct {
 	// published) snapshot instead. Hedged shards still count as covered;
 	// their extra rounds-behind show up in Staleness.
 	Hedged int
-}
-
-// Server answers search requests — implemented by the static Index and
-// by the snapshot-backed query tier (internal/serve.Querier).
-type Server interface {
-	Serve(req Request, resp *Response) error
-}
-
-// Serve answers a conjunctive top-k query from the frozen build-time
-// rank vector. It intersects posting lists smallest-first (the
-// standard conjunctive plan) and accounts hop costs to each distinct
-// term owner, QueryCost-style.
-func (ix *Index) Serve(req Request, resp *Response) error {
-	resp.Postings = resp.Postings[:0]
-	resp.Version = StaticVersion
-	resp.Staleness = 0
-	resp.Cost = Cost{}
-	resp.Coverage = 1
-	resp.Degraded = false
-	resp.Hedged = 0
-	if err := req.Validate(ix.cfg.Vocabulary); err != nil {
-		return err
-	}
-	if req.MinVersion > StaticVersion {
-		return fmt.Errorf("%w: static index serves version %d, want >= %d",
-			ErrStaleIndex, StaticVersion, req.MinVersion)
-	}
-	cost, err := ix.queryCost(req.From, req.Terms)
-	if err != nil {
-		return err
-	}
-	resp.Cost = cost
-
-	lists := make([][]Posting, len(req.Terms))
-	for i, t := range req.Terms {
-		lists[i] = ix.postings[t]
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	if len(lists[0]) == 0 {
-		return nil
-	}
-	// Membership sets for all but the smallest list.
-	member := make([]map[int32]bool, len(lists)-1)
-	for i, ps := range lists[1:] {
-		m := make(map[int32]bool, len(ps))
-		for _, e := range ps {
-			m[e.Page] = true
-		}
-		member[i] = m
-	}
-	for _, e := range lists[0] { // already best-first
-		inAll := true
-		for _, m := range member {
-			if !m[e.Page] {
-				inAll = false
-				break
-			}
-		}
-		if inAll {
-			resp.Postings = append(resp.Postings, e)
-			if len(resp.Postings) == req.K {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// queryCost sums the lookup hops from the requesting ranker to each
-// distinct term owner plus one response per owner.
-func (ix *Index) queryCost(from int, terms []int32) (Cost, error) {
-	var c Cost
-	owners := make(map[int32]bool)
-	for _, t := range terms {
-		owners[ix.termOwner[t]] = true
-	}
-	for o := range owners {
-		h, err := overlay.Hops(ix.ov, from, ix.ov.NodeID(int(o)))
-		if err != nil {
-			return Cost{}, err
-		}
-		c.LookupHops += h
-		c.Responses++
-	}
-	return c, nil
 }

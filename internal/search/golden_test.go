@@ -8,16 +8,16 @@ import (
 	"p2prank/internal/webgraph"
 )
 
-// termsFingerprint hashes every page's TermsOf output, in page order.
+// termsFingerprint hashes every page's AppendTerms output, in page
+// order.
 func termsFingerprint(t *testing.T, g webgraph.Store, cfg Config) uint64 {
 	t.Helper()
+	m := newModel(t, cfg)
 	h := fnv.New64a()
 	var buf [4]byte
+	var terms []int32
 	for p := 0; p < g.NumPages(); p++ {
-		terms, err := TermsOf(g, int32(p), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		terms = m.AppendTerms(terms[:0], g, int32(p))
 		for _, term := range terms {
 			binary.LittleEndian.PutUint32(buf[:], uint32(term))
 			h.Write(buf[:])
@@ -26,10 +26,10 @@ func termsFingerprint(t *testing.T, g webgraph.Store, cfg Config) uint64 {
 	return h.Sum64()
 }
 
-// TestTermsOfGolden pins the synthetic text model: the fingerprints
+// TestAppendTermsGolden pins the synthetic text model: the fingerprints
 // were captured from the original per-page-table draw, so any change to
 // the sampler, the seeding or the duplicate handling shows up here.
-func TestTermsOfGolden(t *testing.T) {
+func TestAppendTermsGolden(t *testing.T) {
 	cfg := webgraph.DefaultGenConfig(2000)
 	cfg.Seed = 3
 	g, err := webgraph.Generate(cfg)

@@ -18,7 +18,7 @@ const DefaultCacheEntries = 1024
 // Config parameterizes the query front end.
 type Config struct {
 	// Text is the synthetic text model the shard indexes are built
-	// from — the same model the static search.Index uses.
+	// from.
 	Text search.Config
 	// CacheEntries bounds the merged-response cache: 0 means
 	// DefaultCacheEntries, negative disables caching.
@@ -266,11 +266,11 @@ func (f *Frontend) reachableStaleness() int64 {
 // free. A Querier must not be shared between goroutines; the Frontend
 // and Store it reads are safe for any number of concurrent Queriers.
 type Querier struct {
-	f    *Frontend
-	heap topK
-	cand []int32
-	candB []int32
-	inter []int32
+	f      *Frontend
+	heap   topK
+	cand   []int32
+	candB  []int32
+	inter  []int32
 	interB []int32
 	// hopRows memoizes overlay hop counts per query origin: one dense
 	// per-shard row per distinct Request.From, -1 = not routed yet.
@@ -282,7 +282,7 @@ func (f *Frontend) NewQuerier() *Querier {
 	return &Querier{f: f, hopRows: make(map[int][]int32)}
 }
 
-// Serve implements search.Server: distributed conjunctive top-k over
+// Serve answers a search.Request: distributed conjunctive top-k over
 // the current snapshots. The response's Version is the oldest snapshot
 // version consulted, its Staleness the worst rounds-behind over the
 // consulted shards, and its Cost the overlay lookup hops from

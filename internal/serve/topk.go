@@ -6,8 +6,8 @@ import "p2prank/internal/search"
 // offer their partial results and the heap keeps the k best, evicting
 // the current worst in O(log k). It is a min-heap on result quality —
 // items[0] is the worst kept posting — ordered by (score descending,
-// page ascending) like every posting list in the system, so merged
-// results tie-break identically to the static index.
+// page ascending), the order search.Response promises, so merged
+// results tie-break identically to a full scan of the crawl.
 type topK struct {
 	items []search.Posting
 	k     int

@@ -2,6 +2,7 @@ package webgraph
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -47,5 +48,39 @@ func FuzzOpenMapped(f *testing.F) {
 			}
 		}
 		m.Close()
+	})
+}
+
+// FuzzReadText throws arbitrary text at the crawl-file parser. The
+// contract under fuzzing: return an error or a graph, never panic; and
+// any accepted input writes back (WriteText) to text that parses to a
+// graph with the same fingerprint.
+func FuzzReadText(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteText(&seed, tinyGraph(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String())
+	f.Add("# a comment\n\nsite 0 a.edu\npage 0 0\n  \nlink 0 0\next 0 3\n")
+	f.Add("site 0 a.edu\npage 0 0\nlink 4294967296 0\n")
+	f.Add("site 0 a.edu\nsite 0 a.edu\npage 0 0\next 0 2147483647\n")
+	f.Add("page 0 0\n")
+
+	f.Fuzz(func(t *testing.T, text string) {
+		g, err := ReadText(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteText(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadText(&buf)
+		if err != nil {
+			t.Fatalf("written graph does not parse: %v\n%s", err, buf.String())
+		}
+		if g2.Fingerprint() != g.Fingerprint() {
+			t.Fatalf("round trip changed the fingerprint: %#x != %#x", g2.Fingerprint(), g.Fingerprint())
+		}
 	})
 }

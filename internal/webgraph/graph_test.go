@@ -8,7 +8,7 @@ import (
 
 // tinyGraph builds the 4-page group of the paper's Figure 2:
 // P1 -> P2, P1 -> P4, P2 -> P3, P3 -> P4, plus one external link on P4.
-func tinyGraph(t *testing.T) *Graph {
+func tinyGraph(t testing.TB) *Graph {
 	t.Helper()
 	var b Builder
 	s := b.AddSite("example.edu")

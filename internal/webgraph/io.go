@@ -65,50 +65,50 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) != 3 {
 				return nil, fail("site needs 2 args")
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := parseID(fields[1])
 			if err != nil {
 				return nil, fail("bad site id")
 			}
-			if got := b.AddSite(fields[2]); int(got) != id {
+			if got := b.AddSite(fields[2]); got != id {
 				return nil, fail(fmt.Sprintf("site ids must be dense ascending (got %d)", got))
 			}
 		case "page":
 			if len(fields) != 3 {
 				return nil, fail("page needs 2 args")
 			}
-			id, err1 := strconv.Atoi(fields[1])
-			site, err2 := strconv.Atoi(fields[2])
+			id, err1 := parseID(fields[1])
+			site, err2 := parseID(fields[2])
 			if err1 != nil || err2 != nil {
 				return nil, fail("bad page/site id")
 			}
-			if site < 0 || site >= len(b.sites) {
+			if site < 0 || int(site) >= len(b.sites) {
 				return nil, fail("unknown site")
 			}
-			if got := b.AddPage(int32(site)); int(got) != id {
+			if got := b.AddPage(site); got != id {
 				return nil, fail(fmt.Sprintf("page ids must be dense ascending (got %d)", got))
 			}
 		case "link":
 			if len(fields) != 3 {
 				return nil, fail("link needs 2 args")
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
+			u, err1 := parseID(fields[1])
+			v, err2 := parseID(fields[2])
 			if err1 != nil || err2 != nil {
 				return nil, fail("bad link endpoints")
 			}
-			if err := b.AddLink(int32(u), int32(v)); err != nil {
+			if err := b.AddLink(u, v); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 		case "ext":
 			if len(fields) != 3 {
 				return nil, fail("ext needs 2 args")
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			k, err2 := strconv.Atoi(fields[2])
+			u, err1 := parseID(fields[1])
+			k, err2 := parseID(fields[2])
 			if err1 != nil || err2 != nil {
 				return nil, fail("bad ext fields")
 			}
-			if err := b.AddExternalLinks(int32(u), k); err != nil {
+			if err := b.AddExternalLinks(u, int(k)); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 		default:
@@ -119,4 +119,11 @@ func ReadText(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("webgraph: reading text graph: %w", err)
 	}
 	return b.Build(), nil
+}
+
+// parseID parses a decimal int32 field. A value outside the int32
+// range is an error rather than a silently wrapped id or count.
+func parseID(s string) (int32, error) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	return int32(v), err
 }

@@ -90,6 +90,16 @@ func TestReadTextErrors(t *testing.T) {
 		"negative ext":       "site 0 a.edu\npage 0 0\next 0 -1\n",
 		"short site line":    "site 0\n",
 		"non-numeric fields": "site 0 a.edu\npage x 0\n",
+		// Every numeric field is an int32: values past its range are
+		// rejected, not wrapped onto a valid id.
+		"site id past int32":   "site 4294967296 a.edu\n",
+		"page id past int32":   "site 0 a.edu\npage 4294967296 0\n",
+		"page site past int32": "site 0 a.edu\npage 0 4294967296\n",
+		"link src past int32":  "site 0 a.edu\npage 0 0\nlink 4294967296 0\n",
+		"link dst past int32":  "site 0 a.edu\npage 0 0\nlink 0 4294967296\n",
+		"link src below int32": "site 0 a.edu\npage 0 0\nlink -4294967296 0\n",
+		"ext page past int32":  "site 0 a.edu\npage 0 0\next 4294967296 1\n",
+		"ext count past int32": "site 0 a.edu\npage 0 0\next 0 4294967296\n",
 	}
 	for name, input := range cases {
 		if _, err := ReadText(strings.NewReader(input)); err == nil {
